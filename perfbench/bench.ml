@@ -38,15 +38,19 @@ let gc_probe f =
       majors = g1.Gc.major_collections - g0.Gc.major_collections;
     } )
 
-(* Runs [f i] for i = 0, 1, ... until [seconds] have passed, at least
-   [min_reps] times. *)
+(* Runs [f i] for i = 0, 1, ... at least [min_reps] times, and then while
+   another repetition, as long as the last one, would end nearer to
+   [seconds] from the start than stopping now. *)
 let repeat ~seconds ~min_reps f =
   let t_end = now () +. seconds in
-  let rec go i acc =
-    if i >= min_reps && now () >= t_end then List.rev acc
-    else go (i + 1) (f i :: acc)
+  let rec go i last acc =
+    let t = now () in
+    if i >= min_reps && t +. (last /. 2.0) >= t_end then List.rev acc
+    else
+      let x = f i in
+      go (i + 1) (now () -. t) (x :: acc)
   in
-  go 0 []
+  go 0 0.0 []
 
 let setup_samples k f =
   List.init k (fun _ ->
@@ -116,19 +120,6 @@ let degree_mean r =
   let ds = List.filter_map snd (Metrics.latency_degrees r) in
   ratio (fi (List.fold_left ( + ) 0 ds)) (fi (List.length ds))
 
-(* Casts owed to every correct addressee that some correct addressee
-   never delivered. A cast is owed when its caster is correct (validity)
-   or when anyone delivered it (uniform agreement); a crashed caster's
-   cast that nobody delivered is owed nothing. *)
-let undelivered r =
-  List.length
-    (List.filter
-       (fun (c : Run_result.cast_event) ->
-         let id = c.msg.Amcast.Msg.id in
-         (Run_result.correct r c.origin || Run_result.deliveries_of r id <> [])
-         && not (Run_result.delivered_everywhere_needed r id))
-       r.Run_result.casts)
-
 (* ---------- sim-a1-saturate ---------- *)
 
 (* One DES deployment of A1 at scale, driven to quiescence and checked;
@@ -172,6 +163,8 @@ module Sim_a1 = struct
     let setups = setup_samples 5 (fun () -> ignore (deploy seed wl)) in
     Timed.reset ();
     Timed.tracing := traced;
+    (* Of the first repetition's run only summaries are kept: a retained
+       run would double the live heap that every later collection marks. *)
     let first = ref None in
     let reps =
       repeat ~seconds ~min_reps:2 (fun i ->
@@ -188,7 +181,8 @@ module Sim_a1 = struct
           if i = 0 then
             first :=
               Some
-                ( r,
+                ( Metrics.delivery_latencies_ms r,
+                  (if traced then degree_mean r else 0.0),
                   List.map
                     (fun p -> T.stats (R.node dep p))
                     (Net.Topology.all_pids topology) );
@@ -199,7 +193,7 @@ module Sim_a1 = struct
             events = r.Run_result.events_executed;
             deliveries = List.length r.Run_result.deliveries;
             failed =
-              (if violations <> [] || not drained then n_casts else undelivered r);
+              (if violations <> [] || not drained then n_casts else 0);
             problems =
               (violations @ if drained then [] else [ "sim-a1-saturate: run did not drain" ]);
             gc;
@@ -207,7 +201,7 @@ module Sim_a1 = struct
           })
     in
     Timed.tracing := false;
-    let r, stats = Option.get !first in
+    let lat, degree, stats = Option.get !first in
     let n = List.length reps in
     let d0 = (List.hd reps).digest in
     let med f = median (List.map f reps) in
@@ -221,7 +215,7 @@ module Sim_a1 = struct
             (sum (fun x -> x.run) reps -. Timed.timed_s (Timed.totals ())) /. fi n );
           ("harness.check_s", med (fun x -> x.check));
           ("harness.check_share", med (fun x -> x.check /. (x.run +. x.check)));
-          ("sim.degree_mean", degree_mean r);
+          ("sim.degree_mean", degree);
         ]
         @ layer_block (Timed.totals ()) ~casts:(n_casts * n)
             ~deliveries:(List.fold_left (fun a x -> a + x.deliveries) 0 reps)
@@ -239,8 +233,8 @@ module Sim_a1 = struct
           reps;
       setup_s = median (setups @ List.map (fun x -> x.setup) reps);
       ops_per_s = med (fun x -> fi x.deliveries /. (x.run +. x.check));
-      lat_p50_ms = pct 50.0 (Metrics.delivery_latencies_ms r);
-      lat_p99_ms = pct 99.0 (Metrics.delivery_latencies_ms r);
+      lat_p50_ms = pct 50.0 lat;
+      lat_p99_ms = pct 99.0 lat;
       gc_minor_per_delivery = med (fun x -> x.gc.minor_words /. fi (max 1 x.deliveries));
       gc_majors = med (fun x -> fi x.gc.majors);
       layers;
@@ -307,14 +301,15 @@ module Sim_a2 = struct
           casts := !casts + n;
           deliveries := !deliveries + List.length r.Run_result.deliveries;
           let bad = o.Campaign.violations <> [] || not o.Campaign.drained in
-          failed := !failed + if bad then n else undelivered r;
-          if bad then
+          if bad then begin
+            failed := !failed + n;
             problems :=
               Fmt.str "sim-a2-faults: scenario seed %d: %s" s.Campaign.seed
                 (String.concat "; "
                    (if o.Campaign.drained then o.Campaign.violations
                     else "did not drain" :: o.Campaign.violations))
-              :: !problems;
+              :: !problems
+          end;
           if traced then begin
             (* the same check run_one made, on the rebuilt run: times
                the checker and cross-checks the verdict *)
@@ -420,7 +415,8 @@ module Mc_a1 = struct
       [ cast 1_000 0 "a"; cast 2_000 0 "b" ]
 
   type exploration = {
-    wall : float;
+    wall : float;  (** samples excluded *)
+    samples : (float * int) list;  (** seconds, events executed *)
     gc : gc_delta;
     stats : E.stats;
     digests : int list;
@@ -428,30 +424,53 @@ module Mc_a1 = struct
     gap_p99 : float;  (** ms between consecutive terminal states *)
     violating : int;
     violation : bool;
-    schedules : int list list;
   }
 
-  let explore ~harvest setup =
+  (* At every [sample_every]-th terminal state the exploration pauses for
+     one timed sample, so that the samples spread over the whole window
+     and its changing host speed as the exploration does; a burst of
+     samples at one instant reads one host speed. Their time is left out
+     of the exploration's wall and terminal gaps. Untraced, a sample is an
+     explorer set-up (setup + replay of the root schedule); traced, a
+     plain replay of the terminal state's schedule, whose wall per event
+     gives the execution share of the search. *)
+  let sample_every = 16
+
+  let explore ~seed ~traced setup =
     let violating = ref 0 in
     let check r =
       let v = Checker.check_all r in
       if v <> [] then incr violating;
       v
     in
-    let gaps = ref [] and schedules = ref [] in
+    let gaps = ref [] and samples = ref [] in
+    let terminals = ref 0 and sampling = ref 0.0 in
     let t0 = now () in
     let last = ref t0 in
     let on_terminal choices _ =
       let t = now () in
       gaps := (t -. !last) *. 1e3 :: !gaps;
-      last := t;
-      if harvest then schedules := choices :: !schedules
+      incr terminals;
+      if !terminals mod sample_every = 0 then begin
+        let s0 = now () in
+        let events =
+          if traced then (E.replay setup choices).Run_result.events_executed
+          else (
+            ignore (E.replay (make_setup seed) []);
+            0)
+        in
+        let s1 = now () in
+        samples := (s1 -. s0, events) :: !samples;
+        sampling := !sampling +. (s1 -. t)
+      end;
+      last := now ()
     in
     let o, gc =
       gc_probe (fun () -> E.explore ~opts:{ E.default_opts with E.check } ~on_terminal setup)
     in
     {
-      wall = now () -. t0;
+      wall = now () -. t0 -. !sampling;
+      samples = !samples;
       gc;
       stats = o.E.stats;
       digests = o.E.outcome_digests;
@@ -459,36 +478,18 @@ module Mc_a1 = struct
       gap_p99 = pct 99.0 !gaps;
       violating = !violating;
       violation = o.E.violation <> None;
-      schedules = !schedules;
     }
 
-  (* Wall per executed event of plain replays of harvested terminal
-     schedules: the execution share of the search. *)
-  let replay_cost setup schedules =
-    let arr = Array.of_list schedules in
-    let k = min 200 (Array.length arr) in
-    let events = ref 0 in
-    let t0 = now () in
-    for i = 0 to k - 1 do
-      let r = E.replay setup arr.(i * Array.length arr / k) in
-      events := !events + r.Run_result.events_executed
-    done;
-    ratio (now () -. t0) (fi !events)
-
   let phase ~seed ~seconds ~traced =
-    let setups =
-      setup_samples 200 (fun () -> ignore (E.replay (make_setup seed) []))
-    in
     let setup = make_setup seed in
     Timed.reset ();
     Timed.tracing := traced;
-    (* Only the first exploration's schedules are kept, and of the others
-       only summaries, so the heap does not grow with their number. *)
-    let xs =
-      repeat ~seconds ~min_reps:1 (fun i -> explore ~harvest:(traced && i = 0) setup)
-    in
+    let xs = repeat ~seconds ~min_reps:1 (fun _ -> explore ~seed ~traced setup) in
     let tot = Timed.totals () in
-    let per_event = if traced then replay_cost setup (List.hd xs).schedules else 0.0 in
+    let samples = List.concat_map (fun x -> x.samples) xs in
+    let per_event =
+      ratio (sum fst samples) (fi (List.fold_left (fun a (_, e) -> a + e) 0 samples))
+    in
     Timed.tracing := false;
     let x0 = List.hd xs in
     let n = List.length xs in
@@ -529,7 +530,7 @@ module Mc_a1 = struct
             then [ "mc-a1: explorations disagree" ]
             else [])
           xs;
-      setup_s = median setups;
+      setup_s = median (List.map fst samples);
       ops_per_s = med (fun x -> fi x.stats.E.interleavings /. x.wall);
       lat_p50_ms = med (fun x -> x.gap_p50);
       lat_p99_ms = med (fun x -> x.gap_p99);
@@ -548,7 +549,15 @@ end
    that hash to group [i] and talks to one replica of that group, so it is
    that replica's only source of casts: the replica's casts, in order,
    are the client's requests, in order — the join that gives each
-   request's client spans its message id. *)
+   request's client spans its message id.
+
+   The window is a sequence of rounds. Each round boots a fresh cluster
+   (its set-up sample: boot to the first reply), has every client send
+   [warmup_ops] unmeasured requests and then [measured_ops] measured
+   ones, checks the cluster and stops it. The per-round figures are
+   medianed over the rounds. A fixed count per round, not a fixed time,
+   keeps the retained per-command state, and so the peak heap, the same
+   however fast the host runs. *)
 module Kv_a1 = struct
   module T = Timed.Make (Amcast.A1)
   module KV = Transport.Kv_service.Make (T)
@@ -557,12 +566,12 @@ module Kv_a1 = struct
   let clients = 2
   let keys_per_client = 16
   let value_bytes = 32
-  let warmup = 2.0
+  let warmup_ops = 300
+  let measured_ops = 1500
 
   (* Ports 7600-7715: clear of the CI smoke cluster (7400) and the test
-     suites (7500-7540). Set-up boots use 7600 + 10i, the measured
-     cluster 7700 (7710 traced). *)
-  let base_port = 7600
+     suites (7500-7540). Round [r] boots on 7600 + 10 (r mod 12). *)
+  let port_of_round r = 7600 + (10 * (r mod 12))
 
   let keys seed i =
     let rec go j acc =
@@ -574,99 +583,93 @@ module Kv_a1 = struct
     in
     go 0 []
 
-  type request = { sent : int; received : int }
-
-  type tally = {
-    mutable checked : int;  (** replies checked, warm-up included *)
-    mutable ok : int;  (** correct replies within the window *)
-    mutable wrong : int;
-    mutable errors : int;
-    mutable lat : (int * float) list;
-        (** window round trips: completion instant (ns), latency (ms) *)
-    mutable all : request list;  (** every request, newest first *)
-    mutable first_error : string option;
+  type client = {
+    lat : float list;  (** measured round trips, ms *)
+    busy_s : float;  (** first measured request to last measured reply *)
+    requests : (int * int) list;
+        (** (sent, received) instants (ns) of every request, oldest first,
+            when recorded *)
+    answered : int;
+    wrong : int;  (** replies other than the client's own last write *)
+    errors : int;
+    first_error : string option;
   }
 
-  (* 0 warm-up, 1 measuring, 2 stop *)
-  let phase_flag = Atomic.make 0
-
-  let client_loop ~seed ~addr ~keys ~record i tally =
-    let rng = Des.Rng.create ((seed * 7919) + i) in
+  (* [warmup_ops + measured_ops] requests, one in flight, each checked
+     against the client's model of its own keys. Stops at the first
+     transport error. *)
+  let client_loop ~rng ~addr ~keys ~record =
     let model = Hashtbl.create 16 in
-    let c = Transport.Tcp.Client.connect addr in
+    let lat = ref [] and requests = ref [] and answered = ref 0 and wrong = ref 0 in
+    let first_error = ref None and m0 = ref 0 and m1 = ref 0 in
+    let note e = if !first_error = None then first_error := Some e in
     let value () =
       String.init value_bytes (fun _ -> Char.chr (97 + Des.Rng.int rng 26))
     in
-    while Atomic.get phase_flag < 2 do
-      let key = keys.(Des.Rng.int rng (Array.length keys)) in
-      let x = Des.Rng.float rng 1.0 in
-      let line, expect, update =
-        if x < 0.5 then
-          let e =
-            match Hashtbl.find_opt model key with
-            | Some v -> (true, v)
-            | None -> (false, "")
-          in
-          ("GET " ^ key, e, None)
-        else if x < 0.55 then ("DEL " ^ key, (true, "OK"), Some None)
-        else
-          let v = value () in
-          ("SET " ^ key ^ " " ^ v, (true, "OK"), Some (Some v))
-      in
-      let measuring = Atomic.get phase_flag = 1 in
-      let t0 = Timed.now_ns () in
-      match Transport.Tcp.Client.request c line with
-      | reply ->
+    let rec go c i =
+      if i < warmup_ops + measured_ops then begin
+        let key = keys.(Des.Rng.int rng (Array.length keys)) in
+        let x = Des.Rng.float rng 1.0 in
+        let line, expect, update =
+          if x < 0.5 then
+            let e =
+              match Hashtbl.find_opt model key with
+              | Some v -> (true, v)
+              | None -> (false, "")
+            in
+            ("GET " ^ key, e, None)
+          else if x < 0.55 then ("DEL " ^ key, (true, "OK"), Some None)
+          else
+            let v = value () in
+            ("SET " ^ key ^ " " ^ v, (true, "OK"), Some (Some v))
+        in
+        let t0 = Timed.now_ns () in
+        let reply = Transport.Tcp.Client.request c line in
         let t1 = Timed.now_ns () in
-        if record then tally.all <- { sent = t0; received = t1 } :: tally.all;
+        if record then requests := (t0, t1) :: !requests;
+        incr answered;
         (match update with
         | Some (Some v) -> Hashtbl.replace model key v
         | Some None -> Hashtbl.remove model key
         | None -> ());
-        tally.checked <- tally.checked + 1;
         if reply <> expect then begin
-          tally.wrong <- tally.wrong + 1;
-          if tally.first_error = None then
-            tally.first_error <-
-              Some
-                (Printf.sprintf "%s -> (%b, %S), expected (%b, %S)" line (fst reply)
-                   (snd reply) (fst expect) (snd expect))
-        end
-        else if measuring && Atomic.get phase_flag = 1 then begin
-          tally.ok <- tally.ok + 1;
-          tally.lat <- (t1, fi (t1 - t0) *. 1e-6) :: tally.lat
-        end
-      | exception (Failure msg | Unix.Unix_error (_, msg, _)) ->
-        tally.errors <- tally.errors + 1;
-        if tally.first_error = None then tally.first_error <- Some msg;
-        Atomic.set phase_flag 2
-    done;
-    Transport.Tcp.Client.close c
-
-  let boot ~dir ~port = KV.create ~base_port:port ~dir topology
-
-  (* Cluster boot to first reply, [k] times on distinct ports. Stopping a
-     cluster takes a select timeout per node, so the clusters are stopped
-     together once every boot is measured. *)
-  let boot_samples ~dir ~k seed =
-    let key = (keys seed 0).(0) in
-    let boots =
-      List.init k (fun i ->
-          let t0 = now () in
-          let kv =
-            boot
-              ~dir:(Filename.concat dir (string_of_int i))
-              ~port:(base_port + (10 * i))
-          in
-          let c = Transport.Tcp.Client.connect (KV.addr_of kv (KV.contact_for kv key)) in
-          let reply = Transport.Tcp.Client.request c ("SET " ^ key ^ " boot") in
-          let t1 = now () in
-          Transport.Tcp.Client.close c;
-          if reply <> (true, "OK") then failwith "kv-a1: set-up request failed";
-          (kv, t1 -. t0))
+          incr wrong;
+          note
+            (Printf.sprintf "%s -> (%b, %S), expected (%b, %S)" line (fst reply)
+               (snd reply) (fst expect) (snd expect))
+        end;
+        if i >= warmup_ops then begin
+          if i = warmup_ops then m0 := t0;
+          m1 := t1;
+          lat := (fi (t1 - t0) *. 1e-6) :: !lat
+        end;
+        go c (i + 1)
+      end
     in
-    List.map (fun (kv, _) -> Thread.create KV.stop kv) boots |> List.iter Thread.join;
-    List.map snd boots
+    let errors =
+      match Transport.Tcp.Client.connect addr with
+      | c ->
+        Fun.protect
+          ~finally:(fun () -> Transport.Tcp.Client.close c)
+          (fun () ->
+            match go c 0 with
+            | () -> 0
+            | exception (Failure msg | Unix.Unix_error (_, msg, _)) ->
+              note msg;
+              1)
+      | exception Unix.Unix_error (_, msg, _) ->
+        note msg;
+        1
+    in
+    {
+      lat = !lat;
+      busy_s = fi (!m1 - !m0) *. 1e-9;
+      requests = List.rev !requests;
+      answered = !answered;
+      wrong = !wrong;
+      errors;
+      first_error = !first_error;
+    }
 
   (* Every member of each group applied the same number of commands. *)
   let settled kv =
@@ -705,107 +708,152 @@ module Kv_a1 = struct
     Sys.remove path;
     xs
 
+  (* Per-request spans of a traced round, µs. *)
+  type spans = {
+    ingress : float list;  (** client write -> cast *)
+    wait : float list;  (** cast -> deliver at the contact replica *)
+    upcall : float list;  (** WAL + apply + reply write *)
+    egress : float list;  (** upcall end -> client read *)
+  }
+
+  let no_spans = { ingress = []; wait = []; upcall = []; egress = [] }
+
+  type round = {
+    setup : float;
+    ops_per_s : float;
+    p50 : float;
+    p99 : float;
+    attempted : int;
+    failed : int;
+    problems : string list;
+    casts : int;
+    deliveries : int;
+    msgs : int;
+    wal : int;  (** WAL bytes, traced rounds only *)
+    gc : gc_delta;
+    spans : spans;
+  }
+
+  (* Joins each client's requests to its contact replica's casts, in
+     order; [None] when the counts differ. *)
+  let join ~contacts (cs : client array) =
+    let all = Timed.message_spans () in
+    let per_client i =
+      let mine =
+        List.filter (fun ((id : Runtime.Msg_id.t), _, _, _) -> id.origin = contacts.(i)) all
+        |> List.sort (fun (_, a, _, _) (_, b, _, _) -> compare a b)
+      in
+      if List.length mine <> List.length cs.(i).requests then None
+      else Some (List.combine cs.(i).requests mine)
+    in
+    let joined = List.init clients per_client in
+    if List.mem None joined then None
+    else
+      let j = List.concat_map Option.get joined in
+      let us f = List.map (fun x -> fi (f x) *. 1e-3) j in
+      Some
+        {
+          ingress = us (fun ((sent, _), (_, c, _, _)) -> c - sent);
+          wait = us (fun (_, (_, c, u0, _)) -> u0 - c);
+          upcall = us (fun (_, (_, _, u0, u1)) -> u1 - u0);
+          egress = us (fun ((_, received), (_, _, _, u1)) -> received - u1);
+        }
+
+  let round ~dir ~seed ~traced r =
+    let probe = Printf.sprintf "s%d-boot" seed in
+    let t0 = now () in
+    let kv = KV.create ~base_port:(port_of_round r) ~dir topology in
+    let booted =
+      match Transport.Tcp.Client.connect (KV.addr_of kv (KV.contact_for kv probe)) with
+      | c ->
+        let reply =
+          try Transport.Tcp.Client.request c ("SET " ^ probe ^ " boot")
+          with Failure _ | Unix.Unix_error _ -> (false, "")
+        in
+        Transport.Tcp.Client.close c;
+        reply = (true, "OK")
+      | exception Unix.Unix_error _ -> false
+    in
+    let setup = now () -. t0 in
+    (* the probe's span is not a client request *)
+    Timed.clear_spans ();
+    let contacts = Array.init clients (fun i -> KV.contact_for kv (keys seed i).(0)) in
+    let results = Array.make clients None in
+    let (), gc =
+      gc_probe (fun () ->
+          Array.init clients (fun i ->
+              Thread.create
+                (fun () ->
+                  let rng = Des.Rng.create ((seed * 7919) + (r * 104729) + i) in
+                  results.(i) <-
+                    Some
+                      (client_loop ~rng ~addr:(KV.addr_of kv contacts.(i))
+                         ~keys:(keys seed i) ~record:traced))
+                ())
+          |> Array.iter Thread.join)
+    in
+    let cs = Array.map Option.get results in
+    let drained = KV.await ~timeout:10.0 (fun () -> settled kv) in
+    let consistency = KV.check_consistency kv in
+    let rr = KV.run_result kv in
+    let checker = Checker.check_all rr in
+    (* stopped before the join: a loop records a request's span after
+       the reply it sends, so only a stopped cluster has them all *)
+    KV.stop kv;
+    let spans = if traced then join ~contacts cs else Some no_spans in
+    let wal = if traced then wal_bytes dir else 0 in
+    Timed.clear_spans ();
+    let lat = Array.fold_left (fun acc c -> List.rev_append c.lat acc) [] cs in
+    let csum f = Array.fold_left (fun a c -> a + f c) 0 cs in
+    {
+      setup;
+      ops_per_s = Array.fold_left (fun a c -> a +. ratio (fi measured_ops) c.busy_s) 0.0 cs;
+      p50 = pct 50.0 lat;
+      p99 = pct 99.0 lat;
+      attempted = 1 + csum (fun c -> c.answered + c.errors);
+      failed = (if booted then 0 else 1) + csum (fun c -> c.wrong + c.errors);
+      problems =
+        (if booted then [] else [ "kv-a1: set-up request failed" ])
+        @ (if drained then [] else [ "kv-a1: replicas did not settle" ])
+        @ (if spans = None then [ "kv-a1: requests and casts do not join" ] else [])
+        @ consistency @ checker
+        @ List.filter_map
+            (fun c -> Option.map (fun e -> "kv-a1: client: " ^ e) c.first_error)
+            (Array.to_list cs);
+      casts = List.length rr.Run_result.casts;
+      deliveries = List.length rr.Run_result.deliveries;
+      msgs = rr.Run_result.inter_group_msgs + rr.Run_result.intra_group_msgs;
+      wal;
+      gc;
+      spans = Option.value ~default:no_spans spans;
+    }
+
   let phase ~dir ~seed ~seconds ~traced =
-    let setups = boot_samples ~dir ~k:9 seed in
     Timed.reset ();
     Timed.tracing := traced;
     Timed.msg_spans := traced;
-    let kv = boot ~dir ~port:(base_port + if traced then 110 else 100) in
-    Atomic.set phase_flag 0;
-    let tallies =
-      Array.init clients (fun _ ->
-          {
-            checked = 0;
-            ok = 0;
-            wrong = 0;
-            errors = 0;
-            lat = [];
-            all = [];
-            first_error = None;
-          })
+    let rounds =
+      repeat ~seconds ~min_reps:3 (fun r ->
+          let x = round ~dir ~seed ~traced r in
+          (* The round's cluster is stopped; collected before the next
+             boots, it leaves one cluster at a time on the heap, so the
+             peak does not hang on when its garbage gets collected. *)
+          Gc.full_major ();
+          x)
     in
-    let contacts =
-      Array.init clients (fun i -> KV.contact_for kv (keys seed i).(0))
-    in
-    let threads =
-      Array.init clients (fun i ->
-          Thread.create
-            (fun () ->
-              client_loop ~seed ~addr:(KV.addr_of kv contacts.(i)) ~keys:(keys seed i)
-                ~record:traced i tallies.(i))
-            ())
-    in
-    Thread.delay warmup;
-    let w0 = Timed.now_ns () in
-    if Atomic.get phase_flag = 0 then Atomic.set phase_flag 1;
-    let gc0 = Gc.quick_stat () in
-    Thread.delay seconds;
-    let gc1 = Gc.quick_stat () in
-    Atomic.set phase_flag 2;
-    let window = fi (Timed.now_ns () - w0) *. 1e-9 in
-    Array.iter Thread.join threads;
-    let drained = KV.await ~timeout:10.0 (fun () -> settled kv) in
-    let consistency = KV.check_consistency kv in
-    let r = KV.run_result kv in
-    let checker = Checker.check_all r in
-    KV.stop kv;
     Timed.tracing := false;
     Timed.msg_spans := false;
-    (* The latency percentiles of each second of the window, and their
-       median over the seconds: a percentile of the typical second, which
-       a stall of the shared host in one second does not move. A second
-       holds thousands of requests, so its p99 has tens beyond it. The
-       last partial second joins the one before it. *)
-    let second_median p =
-      let seconds = Array.make (max 1 (int_of_float window)) [] in
-      Array.iter
-        (fun t ->
-          List.iter
-            (fun (at, ms) ->
-              let i = min (Array.length seconds - 1) ((at - w0) / 1_000_000_000) in
-              seconds.(i) <- ms :: seconds.(i))
-            t.lat)
-        tallies;
-      median
-        (List.filter_map
-           (fun xs -> if xs = [] then None else Some (pct p xs))
-           (Array.to_list seconds))
-    in
-    let checked = Array.fold_left (fun a t -> a + t.checked) 0 tallies in
-    let ok = Array.fold_left (fun a t -> a + t.ok) 0 tallies in
-    let wrong = Array.fold_left (fun a t -> a + t.wrong) 0 tallies in
-    let errors = Array.fold_left (fun a t -> a + t.errors) 0 tallies in
-    let casts = List.length r.Run_result.casts in
-    let deliveries = List.length r.Run_result.deliveries in
-    let join_failed = ref false in
+    let med f = median (List.map f rounds) in
+    let total f = List.fold_left (fun a x -> a + f x) 0 rounds in
+    let casts = total (fun x -> x.casts) in
+    let deliveries = total (fun x -> x.deliveries) in
     let layers =
       if not traced then []
       else
-        (* join each client's requests to its contact replica's casts *)
-        let spans = Timed.message_spans () in
-        let joined =
-          List.concat
-            (List.init clients (fun i ->
-                 let mine =
-                   List.filter
-                     (fun ((id : Runtime.Msg_id.t), _, _, _) -> id.origin = contacts.(i))
-                     spans
-                   |> List.sort (fun (_, a, _, _) (_, b, _, _) -> compare a b)
-                 in
-                 let reqs = List.rev tallies.(i).all in
-                 if List.length mine <> List.length reqs then []
-                 else List.combine reqs mine))
-        in
-        let us f = List.map (fun x -> fi (f x) *. 1e-3) joined in
-        let ingress = us (fun (q, (_, c, _, _)) -> c - q.sent) in
-        let upcall = us (fun (_, (_, _, u0, u1)) -> u1 - u0) in
-        let egress = us (fun (q, (_, _, _, u1)) -> q.received - u1) in
-        let wait = us (fun (_, (_, c, u0, _)) -> u0 - c) in
+        let spans f = List.concat_map (fun x -> f x.spans) rounds in
+        let ingress = spans (fun s -> s.ingress) and wait = spans (fun s -> s.wait) in
+        let upcall = spans (fun s -> s.upcall) and egress = spans (fun s -> s.egress) in
         let wal = wal_append_us dir in
-        let requests =
-          Array.fold_left (fun a t -> a + List.length t.all) 0 tallies
-        in
-        if List.length joined <> requests then join_failed := true;
         [
           ("amcast.wait_us_p50", pct 50.0 wait);
           ("amcast.wait_us_p99", pct 99.0 wait);
@@ -817,38 +865,22 @@ module Kv_a1 = struct
           ("transport.egress_us_p99", pct 99.0 egress);
           ("transport.wal_append_us_p50", pct 50.0 wal);
           ("transport.wal_append_us_p99", pct 99.0 wal);
-          ("transport.wal_bytes_per_op", ratio (fi (wal_bytes dir)) (fi casts));
-          ( "transport.msgs_per_op",
-            ratio
-              (fi (r.Run_result.inter_group_msgs + r.Run_result.intra_group_msgs))
-              (fi casts) );
+          ("transport.wal_bytes_per_op", ratio (fi (total (fun x -> x.wal))) (fi casts));
+          ("transport.msgs_per_op", ratio (fi (total (fun x -> x.msgs))) (fi casts));
         ]
         @ layer_block (Timed.totals ()) ~casts ~deliveries ~per:1.0 ~ops:casts
     in
-    let problems =
-      (if drained then [] else [ "kv-a1: replicas did not settle" ])
-      @ (if !join_failed then [ "kv-a1: requests and casts do not join" ] else [])
-      @ consistency @ checker
-      @ Array.to_list
-          (Array.map
-             (fun t ->
-               match t.first_error with
-               | Some e -> "kv-a1: client: " ^ e
-               | None -> "")
-             tallies)
-      |> List.filter (( <> ) "")
-    in
     {
-      attempted = checked + errors;
-      failed = wrong + errors;
-      problems;
-      setup_s = median setups;
-      ops_per_s = fi ok /. window;
-      lat_p50_ms = second_median 50.0;
-      lat_p99_ms = second_median 99.0;
+      attempted = total (fun x -> x.attempted);
+      failed = total (fun x -> x.failed);
+      problems = List.concat_map (fun x -> x.problems) rounds;
+      setup_s = med (fun x -> x.setup);
+      ops_per_s = med (fun x -> x.ops_per_s);
+      lat_p50_ms = med (fun x -> x.p50);
+      lat_p99_ms = med (fun x -> x.p99);
       gc_minor_per_delivery =
-        (gc1.Gc.minor_words -. gc0.Gc.minor_words) /. fi (max 1 (ok * 3));
-      gc_majors = fi (gc1.Gc.major_collections - gc0.Gc.major_collections);
+        ratio (sum (fun x -> x.gc.minor_words) rounds) (fi deliveries);
+      gc_majors = med (fun x -> fi x.gc.majors);
       layers;
     }
 end

@@ -85,6 +85,12 @@ def run(args):
     cmd = [EXE, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--work-dir", WORK_DIR]
+    # The run is pinned to one CPU. The KV workload's threads share one
+    # OCaml runtime lock; spread over two CPUs they pay cross-CPU wake-ups
+    # whose cost follows where the scheduler happens to put them, and its
+    # throughput jumped twofold between runs of the same code.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)

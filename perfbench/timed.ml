@@ -147,6 +147,15 @@ let message_spans () =
                (Runtime.Msg_id.Tbl.find_opt casts id))
            a.upcall_at)
 
+(* Forgets the message spans, keeping the counters: message ids restart
+   with every new deployment. *)
+let clear_spans () =
+  Array.iter
+    (fun a ->
+      a.cast_at <- [];
+      a.upcall_at <- [])
+    !accs
+
 module Recorder = struct
   type t = {
     mutable on : bool;
