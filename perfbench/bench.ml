@@ -6,7 +6,9 @@
    reports the median set-up time, measures for [S] seconds, checks every
    output, and prints as its last line one JSON object
    {"correct", "attempted", "failed", "metrics"}. With --trace 0 the
-   metrics are the end-to-end ones, measured with the layer timers off.
+   metrics are the end-to-end ones, measured with the layer timers off;
+   the wall-clock set-up times, throughputs and latencies among them are
+   scaled to the host's speed ([Host_speed]).
    With --trace 1 the first half of the window runs untimed, the second
    half runs with [Timed] clocks on, and the metrics are the per-layer
    ones plus the tracing cost. README.md in this directory maps every
@@ -52,11 +54,70 @@ let repeat ~seconds ~min_reps f =
   in
   go 0 0.0 []
 
-let setup_samples k f =
-  List.init k (fun _ ->
-      let t0 = now () in
-      f ();
-      now () -. t0)
+(* ---------- host speed ---------- *)
+
+(* The host is shared, and its speed for this program's kind of code
+   (allocation-heavy OCaml) follows the load of its other tenants, for
+   stretches of seconds to minutes: the same model-checker exploration
+   took 4.0 s and, a minute later, 6.4 s. A stretch can outlast a run, so
+   no statistic over one run's wall times removes it. Every workload
+   therefore also times a fixed reference loop, part of this benchmark
+   and calling no repository code: the simulator and model-checker
+   workloads one pass at most every [interval] seconds, between two timed
+   pieces of the workload and outside them; kv-a1 five passes between
+   two rounds, when no cluster runs. Set-up times, throughputs and
+   latencies are reported multiplied by [factor ()], [reference_s] over
+   the loop's mean time in the run: seconds as on a host where one pass
+   of the loop takes [reference_s]. The loop slows down with the host as the workloads do
+   (correlation 0.95 with the wall time of an exploration, 0.86 with that
+   of a sim-a1 repetition, over minutes of drift), so the scaled figures
+   follow the program, not the neighbours. *)
+module Host_speed = struct
+  let interval = 0.1
+  let reference_s = 0.004
+  let samples = ref []
+  let last = ref neg_infinity
+
+  module M = Map.Make (Int)
+
+  (* Balanced-tree inserts and list sorts: allocation, pointer chasing and
+     minor collections, like the workloads. Everything it builds is small
+     and dies young, so it adds nothing to the peak heap. 2 to 4 ms a
+     pass on the host of the figures in README.md. *)
+  let loop () =
+    let acc = ref 0 in
+    for round = 1 to 110 do
+      let l = List.init 200 (fun i -> ((i + round) * 7919) land 0xffff) in
+      let m = List.fold_left (fun m x -> M.add x round m) M.empty l in
+      acc := !acc + M.cardinal m + List.length (List.sort compare l)
+    done;
+    !acc
+
+  let reset () =
+    samples := [];
+    last := neg_infinity
+
+  let tick () =
+    let t0 = now () in
+    if t0 -. !last >= interval then begin
+      ignore (Sys.opaque_identity (loop ()));
+      last := now ();
+      samples := (!last -. t0) :: !samples
+    end
+
+  (* [n] passes now, whatever the interval. *)
+  let sample n =
+    for _ = 1 to n do
+      last := neg_infinity;
+      tick ()
+    done
+
+  (* The run's wall seconds to reference seconds; 1 if nothing ticked. *)
+  let factor () =
+    match !samples with
+    | [] -> 1.0
+    | xs -> reference_s /. (sum Fun.id xs /. fi (List.length xs))
+end
 
 (* What one phase of a run measured. [layers] is filled only when the
    phase ran traced. *)
@@ -71,6 +132,7 @@ type phase = {
   gc_minor_per_delivery : float;
   gc_majors : float;
   layers : (string * float) list;
+  host_factor : float;  (** [Host_speed.factor ()] of the phase *)
 }
 
 (* Per-layer figures from the [Timed] accumulators: [casts] and
@@ -146,6 +208,29 @@ module Sim_a1 = struct
     ignore (R.schedule dep wl);
     dep
 
+  (* The run advances in slices of this much virtual time, some 10 ms of
+     wall each, so that the host-speed loop can run between them. *)
+  let slice_ms = 100
+  let max_steps = 500_000_000
+
+  (* Runs [dep] to quiescence and snapshots it; returns the run and its
+     wall seconds, host-speed loops excluded. *)
+  let run_sliced dep =
+    let e = R.engine dep in
+    let rec go k acc =
+      if Des.Scheduler.pending (Runtime.Engine.scheduler e) = 0 then acc
+      else begin
+        Host_speed.tick ();
+        let t0 = now () in
+        Runtime.Engine.run ~until:(Des.Sim_time.of_ms (slice_ms * k)) ~max_steps e;
+        go (k + 1) (acc +. (now () -. t0))
+      end
+    in
+    let run = go 1 0.0 in
+    let t0 = now () in
+    let r = R.run_deployment ~max_steps dep in
+    (r, run +. (now () -. t0))
+
   type rep = {
     setup : float;
     run : float;
@@ -160,7 +245,14 @@ module Sim_a1 = struct
 
   let phase ~seed ~seconds ~traced =
     let wl = workload seed in
-    let setups = setup_samples 5 (fun () -> ignore (deploy seed wl)) in
+    Host_speed.reset ();
+    let setups =
+      List.init 5 (fun _ ->
+          Host_speed.tick ();
+          let t0 = now () in
+          ignore (deploy seed wl);
+          now () -. t0)
+    in
     Timed.reset ();
     Timed.tracing := traced;
     (* Of the first repetition's run only summaries are kept: a retained
@@ -168,12 +260,11 @@ module Sim_a1 = struct
     let first = ref None in
     let reps =
       repeat ~seconds ~min_reps:2 (fun i ->
+          Host_speed.tick ();
           let t0 = now () in
           let dep = deploy seed wl in
           let t1 = now () in
-          let r, gc =
-            gc_probe (fun () -> R.run_deployment ~max_steps:500_000_000 dep)
-          in
+          let (r, run), gc = gc_probe (fun () -> run_sliced dep) in
           let t2 = now () in
           let violations = Checker.check_all ~check_quiescence:true r in
           let t3 = now () in
@@ -188,7 +279,7 @@ module Sim_a1 = struct
                     (Net.Topology.all_pids topology) );
           {
             setup = t1 -. t0;
-            run = t2 -. t1;
+            run;
             check = t3 -. t2;
             events = r.Run_result.events_executed;
             deliveries = List.length r.Run_result.deliveries;
@@ -201,6 +292,7 @@ module Sim_a1 = struct
           })
     in
     Timed.tracing := false;
+    let host = Host_speed.factor () in
     let lat, degree, stats = Option.get !first in
     let n = List.length reps in
     let d0 = (List.hd reps).digest in
@@ -231,13 +323,17 @@ module Sim_a1 = struct
             x.problems
             @ if x.digest <> d0 then [ "sim-a1-saturate: repetition diverged" ] else [])
           reps;
-      setup_s = median (setups @ List.map (fun x -> x.setup) reps);
-      ops_per_s = med (fun x -> fi x.deliveries /. (x.run +. x.check));
+      setup_s = median (setups @ List.map (fun x -> x.setup) reps) *. host;
+      ops_per_s =
+        ratio
+          (fi (List.fold_left (fun a x -> a + x.deliveries) 0 reps))
+          (sum (fun x -> x.run +. x.check) reps *. host);
       lat_p50_ms = pct 50.0 lat;
       lat_p99_ms = pct 99.0 lat;
       gc_minor_per_delivery = med (fun x -> x.gc.minor_words /. fi (max 1 x.deliveries));
       gc_majors = med (fun x -> fi x.gc.majors);
       layers;
+      host_factor = host;
     }
 end
 
@@ -285,6 +381,7 @@ module Sim_a2 = struct
     let outcomes =
       List.map
         (fun s ->
+          Host_speed.tick ();
           Timed.Recorder.start ();
           let t0 = Timed.now_ns () in
           let o, gc =
@@ -339,6 +436,7 @@ module Sim_a2 = struct
   let phase ~seed ~seconds ~traced =
     let scs = scenarios seed in
     let lat = ref [] and degrees = ref [] in
+    Host_speed.reset ();
     Timed.reset ();
     Timed.tracing := traced;
     let passes =
@@ -352,6 +450,7 @@ module Sim_a2 = struct
           one_pass ~traced ~keep scs)
     in
     Timed.tracing := false;
+    let host = Host_speed.factor () in
     let n = List.length passes in
     let p0 = List.hd passes in
     let med f = median (List.map f passes) in
@@ -380,13 +479,17 @@ module Sim_a2 = struct
             p.problems
             @ if p.digest <> p0.digest then [ "sim-a2-faults: pass diverged" ] else [])
           passes;
-      setup_s = med (fun p -> p.setup);
-      ops_per_s = med (fun p -> fi p.deliveries /. p.wall);
+      setup_s = med (fun p -> p.setup) *. host;
+      ops_per_s =
+        ratio
+          (fi (List.fold_left (fun a p -> a + p.deliveries) 0 passes))
+          (sum (fun p -> p.wall) passes *. host);
       lat_p50_ms = pct 50.0 !lat;
       lat_p99_ms = pct 99.0 !lat;
       gc_minor_per_delivery = med (fun p -> p.gc.minor_words /. fi (max 1 p.deliveries));
       gc_majors = med (fun p -> fi p.gc.majors);
       layers;
+      host_factor = host;
     }
 end
 
@@ -420,8 +523,9 @@ module Mc_a1 = struct
     gc : gc_delta;
     stats : E.stats;
     digests : int list;
-    gap_p50 : float;
-    gap_p99 : float;  (** ms between consecutive terminal states *)
+    block_p50 : float;
+    block_p99 : float;
+        (** ms to reach each next [sample_every] terminal states *)
     violating : int;
     violation : bool;
   }
@@ -429,8 +533,9 @@ module Mc_a1 = struct
   (* At every [sample_every]-th terminal state the exploration pauses for
      one timed sample, so that the samples spread over the whole window
      and its changing host speed as the exploration does; a burst of
-     samples at one instant reads one host speed. Their time is left out
-     of the exploration's wall and terminal gaps. Untraced, a sample is an
+     samples at one instant reads one host speed. Their time, and the
+     host-speed loop's, is left out of the exploration's wall and of its
+     blocks of [sample_every] terminal states. Untraced, a sample is an
      explorer set-up (setup + replay of the root schedule); traced, a
      plain replay of the terminal state's schedule, whose wall per event
      gives the execution share of the search. *)
@@ -443,15 +548,17 @@ module Mc_a1 = struct
       if v <> [] then incr violating;
       v
     in
-    let gaps = ref [] and samples = ref [] in
+    let blocks = ref [] and block = ref 0.0 and samples = ref [] in
     let terminals = ref 0 and sampling = ref 0.0 in
     let t0 = now () in
     let last = ref t0 in
     let on_terminal choices _ =
       let t = now () in
-      gaps := (t -. !last) *. 1e3 :: !gaps;
+      block := !block +. (t -. !last);
       incr terminals;
       if !terminals mod sample_every = 0 then begin
+        blocks := (!block *. 1e3) :: !blocks;
+        block := 0.0;
         let s0 = now () in
         let events =
           if traced then (E.replay setup choices).Run_result.events_executed
@@ -459,11 +566,11 @@ module Mc_a1 = struct
             ignore (E.replay (make_setup seed) []);
             0)
         in
-        let s1 = now () in
-        samples := (s1 -. s0, events) :: !samples;
-        sampling := !sampling +. (s1 -. t)
+        samples := (now () -. s0, events) :: !samples
       end;
-      last := now ()
+      Host_speed.tick ();
+      last := now ();
+      sampling := !sampling +. (!last -. t)
     in
     let o, gc =
       gc_probe (fun () -> E.explore ~opts:{ E.default_opts with E.check } ~on_terminal setup)
@@ -474,14 +581,15 @@ module Mc_a1 = struct
       gc;
       stats = o.E.stats;
       digests = o.E.outcome_digests;
-      gap_p50 = pct 50.0 !gaps;
-      gap_p99 = pct 99.0 !gaps;
+      block_p50 = pct 50.0 !blocks;
+      block_p99 = pct 99.0 !blocks;
       violating = !violating;
       violation = o.E.violation <> None;
     }
 
   let phase ~seed ~seconds ~traced =
     let setup = make_setup seed in
+    Host_speed.reset ();
     Timed.reset ();
     Timed.tracing := traced;
     let xs = repeat ~seconds ~min_reps:1 (fun _ -> explore ~seed ~traced setup) in
@@ -491,6 +599,7 @@ module Mc_a1 = struct
       ratio (sum fst samples) (fi (List.fold_left (fun a (_, e) -> a + e) 0 samples))
     in
     Timed.tracing := false;
+    let host = Host_speed.factor () in
     let x0 = List.hd xs in
     let n = List.length xs in
     let med f = median (List.map f xs) in
@@ -530,15 +639,19 @@ module Mc_a1 = struct
             then [ "mc-a1: explorations disagree" ]
             else [])
           xs;
-      setup_s = median (List.map fst samples);
-      ops_per_s = med (fun x -> fi x.stats.E.interleavings /. x.wall);
-      lat_p50_ms = med (fun x -> x.gap_p50);
-      lat_p99_ms = med (fun x -> x.gap_p99);
+      setup_s = median (List.map fst samples) *. host;
+      ops_per_s =
+        ratio
+          (fi (List.fold_left (fun a x -> a + x.stats.E.interleavings) 0 xs))
+          (sum (fun x -> x.wall) xs *. host);
+      lat_p50_ms = med (fun x -> x.block_p50) *. host;
+      lat_p99_ms = med (fun x -> x.block_p99) *. host;
       gc_minor_per_delivery =
         sum (fun x -> x.gc.minor_words) xs
         /. fi (max 1 tot.Timed.ncalls.(Timed.upcall));
       gc_majors = med (fun x -> fi x.gc.majors);
       layers;
+      host_factor = host;
     }
 end
 
@@ -829,6 +942,7 @@ module Kv_a1 = struct
     }
 
   let phase ~dir ~seed ~seconds ~traced =
+    Host_speed.reset ();
     Timed.reset ();
     Timed.tracing := traced;
     Timed.msg_spans := traced;
@@ -839,9 +953,13 @@ module Kv_a1 = struct
              boots, it leaves one cluster at a time on the heap, so the
              peak does not hang on when its garbage gets collected. *)
           Gc.full_major ();
+          (* with no cluster running, so that the loop reads the host
+             alone *)
+          Host_speed.sample 5;
           x)
     in
     Timed.tracing := false;
+    let host = Host_speed.factor () in
     Timed.msg_spans := false;
     let med f = median (List.map f rounds) in
     let total f = List.fold_left (fun a x -> a + f x) 0 rounds in
@@ -874,14 +992,15 @@ module Kv_a1 = struct
       attempted = total (fun x -> x.attempted);
       failed = total (fun x -> x.failed);
       problems = List.concat_map (fun x -> x.problems) rounds;
-      setup_s = med (fun x -> x.setup);
-      ops_per_s = med (fun x -> x.ops_per_s);
-      lat_p50_ms = med (fun x -> x.p50);
-      lat_p99_ms = med (fun x -> x.p99);
+      setup_s = med (fun x -> x.setup) *. host;
+      ops_per_s = med (fun x -> x.ops_per_s) /. host;
+      lat_p50_ms = med (fun x -> x.p50) *. host;
+      lat_p99_ms = med (fun x -> x.p99) *. host;
       gc_minor_per_delivery =
         ratio (sum (fun x -> x.gc.minor_words) rounds) (fi deliveries);
       gc_majors = med (fun x -> fi x.gc.majors);
       layers;
+      host_factor = host;
     }
 end
 
@@ -1030,6 +1149,10 @@ let () =
   let failed = List.fold_left (fun a (p : phase) -> a + p.failed) 0 phases in
   let problems = List.concat_map (fun (p : phase) -> p.problems) phases in
   List.iter (fun pr -> Printf.printf "FAIL %s\n" pr) problems;
+  List.iter
+    (fun (p : phase) ->
+      Printf.printf "host speed: wall seconds x %.4f = reference seconds\n" p.host_factor)
+    phases;
   List.iter (fun (n, v, u) -> Printf.printf "%-34s %16.6f %s\n" n v u) metrics;
   let correct = problems = [] && failed = 0 && attempted > 0 in
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
