@@ -10,7 +10,12 @@
    soundness differential: both runs are exhaustive, reach the same set
    of distinct terminal outcomes, find no violation, and the reduction
    factor is at least MIN_REDUCTION (5x). The naive enumeration is
-   exponential, so larger configurations run POR-only for breadth. Any
+   exponential, so larger configurations run POR-only for breadth.
+
+   On every exhaustive POR run the bench also asserts the replay identity
+   replays = interleavings + sleep_prunes - arrival_prunes: each deployed
+   sibling ends in a terminal state or a sleep prune, and a sibling that
+   is sleep-blocked on arrival is counted without a deployment. Any
    assertion failure exits non-zero.
 
    Usage: mc_bench [--out PATH]   (default ./BENCH_mc.json) *)
@@ -87,6 +92,7 @@ type side = {
   events : int;
   replays : int;
   sleep_prunes : int;
+  arrival_prunes : int;
   peak_depth : int;
   exhaustive : bool;
   violated : bool;
@@ -114,6 +120,7 @@ let run_side c ~por =
     events = o.E.stats.E.events;
     replays = o.E.stats.E.replays;
     sleep_prunes = o.E.stats.E.sleep_prunes;
+    arrival_prunes = o.E.stats.E.arrival_prunes;
     peak_depth = o.E.stats.E.peak_depth;
     exhaustive = o.E.stats.E.exhaustive;
     violated = o.E.violation <> None;
@@ -129,13 +136,17 @@ type row = {
 
 let rate n wall = float_of_int n /. Float.max wall 1e-9
 
+let replay_identity s =
+  s.replays = s.interleavings + s.sleep_prunes - s.arrival_prunes
+
 let json_of_side s =
   Printf.sprintf
     "{ \"interleavings\": %d, \"events\": %d, \"replays\": %d, \
-     \"sleep_prunes\": %d, \"peak_depth\": %d, \"exhaustive\": %b, \
-     \"wall_s\": %.6f, \"states_per_s\": %.0f, \"events_per_s\": %.0f }"
-    s.interleavings s.events s.replays s.sleep_prunes s.peak_depth
-    s.exhaustive s.wall_s
+     \"sleep_prunes\": %d, \"arrival_prunes\": %d, \"peak_depth\": %d, \
+     \"exhaustive\": %b, \"wall_s\": %.6f, \"states_per_s\": %.0f, \
+     \"events_per_s\": %.0f }"
+    s.interleavings s.events s.replays s.sleep_prunes s.arrival_prunes
+    s.peak_depth s.exhaustive s.wall_s
     (rate s.interleavings s.wall_s)
     (rate s.events s.wall_s)
 
@@ -165,6 +176,7 @@ let json_of_row r =
       "reduction_factor": %s,
       "outcomes_equal": %s,
       "distinct_outcomes": %d,
+      "replay_identity": %b,
       "violation": %b
     }|}
     c.name c.protocol
@@ -177,7 +189,7 @@ let json_of_row r =
     | None -> "null")
     reduction outcomes_equal
     (List.length r.por.outcomes)
-    r.por.violated
+    (replay_identity r.por) r.por.violated
 
 let () =
   let out = ref "BENCH_mc.json" in
@@ -220,6 +232,11 @@ let () =
           | None -> "");
         if not por.exhaustive then fail "%s: POR exploration not exhaustive" c.name;
         if por.violated then fail "%s: unexpected violation" c.name;
+        if por.exhaustive && not (replay_identity por) then
+          fail "%s: replays %d <> interleavings %d + sleep prunes %d - arrival \
+                prunes %d"
+            c.name por.replays por.interleavings por.sleep_prunes
+            por.arrival_prunes;
         (match naive with
         | Some n ->
           if not n.exhaustive then fail "%s: naive exploration not exhaustive" c.name;
@@ -245,6 +262,9 @@ let () =
   Buffer.add_string buf "  \"results\": [\n";
   Buffer.add_string buf (String.concat ",\n" (List.map json_of_row rows));
   Buffer.add_string buf "\n  ],\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"replay_identity_holds\": %b,\n"
+       (List.for_all (fun r -> replay_identity r.por) rows));
   Buffer.add_string buf
     (Printf.sprintf "  \"assertion_failures\": %d\n" (List.length !failures));
   Buffer.add_string buf "}\n";

@@ -51,8 +51,8 @@ let sift_up q i e =
   done;
   q.heap.(!i) <- e
 
-let sift_down q e =
-  let i = ref 0 in
+let sift_down q i e =
+  let i = ref i in
   let moving = ref true in
   while !moving do
     let l = (2 * !i) + 1 in
@@ -101,7 +101,7 @@ let cancel q handle =
 let pop_entry q =
   let e = q.heap.(0) in
   q.len <- q.len - 1;
-  if q.len > 0 then sift_down q q.heap.(q.len);
+  if q.len > 0 then sift_down q 0 q.heap.(q.len);
   e
 
 let rec pop q =
@@ -148,21 +148,34 @@ let live q =
     !acc
   |> List.map (fun e -> (e.handle, e.time, e.tag))
 
+(* Removes the entry at heap index [i]: the last entry fills the hole and
+   sifts to its place. The vacated tail slot gets the root (or, once the
+   queue is empty, the array goes), so that slot does not keep the removed
+   payload alive. *)
+let remove_at q i =
+  let e = q.heap.(i) in
+  let last = q.len - 1 in
+  q.len <- last;
+  if i < last then begin
+    let moved = q.heap.(last) in
+    if i > 0 && entry_lt moved q.heap.((i - 1) / 2) then sift_up q i moved
+    else sift_down q i moved
+  end;
+  if last = 0 then q.heap <- [||] else q.heap.(last) <- q.heap.(0);
+  e
+
 let take q handle =
   if
     handle < 0 || handle >= q.next_handle
     || Bytes.unsafe_get q.flags handle <> '\001'
   then None
   else begin
-    (* The entry stays in the heap as a dead record; [pop]/[peek_time]
-       already skip those lazily. *)
     Bytes.unsafe_set q.flags handle '\000';
     q.live <- q.live - 1;
-    let found = ref None in
-    for i = 0 to q.len - 1 do
-      let e = q.heap.(i) in
-      if !found = None && e.handle = handle then
-        found := Some (e.time, e.payload)
+    let i = ref 0 in
+    while q.heap.(!i).handle <> handle do
+      incr i
     done;
-    !found
+    let e = remove_at q !i in
+    Some (e.time, e.payload)
   end

@@ -37,6 +37,7 @@ type t = {
   drained : bool;
   events_executed : int;
   mutable index_memo : index option;
+  mutable by_id_memo : delivery_event list Runtime.Msg_id.Tbl.t option;
 }
 
 let make ~topology ~casts ~deliveries ~crashed ~trace ~inter_group_msgs
@@ -53,6 +54,7 @@ let make ~topology ~casts ~deliveries ~crashed ~trace ~inter_group_msgs
     drained;
     events_executed;
     index_memo = None;
+    by_id_memo = None;
   }
 
 (* One pass over casts + deliveries builds every per-run lookup the
@@ -111,11 +113,26 @@ let sequence_of t pid = Array.to_list (index t).seqs.(pid)
 
 let cast_of t id = Runtime.Msg_id.Tbl.find_opt (index t).casts_by_id id
 
+(* Built on the first call, apart from [index] so the checkers do not pay
+   for it: per-cast metrics ask once per cast. *)
 let deliveries_of t id =
-  List.filter
-    (fun (d : delivery_event) ->
-      Runtime.Msg_id.equal d.msg.Amcast.Msg.id id)
-    t.deliveries
+  let by_id =
+    match t.by_id_memo with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Runtime.Msg_id.Tbl.create 64 in
+      List.iter
+        (fun (d : delivery_event) ->
+          let id = d.msg.Amcast.Msg.id in
+          let earlier =
+            Option.value ~default:[] (Runtime.Msg_id.Tbl.find_opt tbl id)
+          in
+          Runtime.Msg_id.Tbl.replace tbl id (d :: earlier))
+        (List.rev t.deliveries);
+      t.by_id_memo <- Some tbl;
+      tbl
+  in
+  Option.value ~default:[] (Runtime.Msg_id.Tbl.find_opt by_id id)
 
 let delivered_by t id pid = Runtime.Msg_id.Tbl.mem (index t).pos.(pid) id
 

@@ -56,6 +56,8 @@ type t = {
   mutable index_memo : index option;
       (** Lazily built by {!index}; construct values with {!make} (which
           seeds it with [None]) rather than a record literal. *)
+  mutable by_id_memo : delivery_event list Runtime.Msg_id.Tbl.t option;
+      (** Lazily built by {!deliveries_of}, like [index_memo]. *)
 }
 
 val make :
@@ -83,6 +85,8 @@ val sequence_of : t -> Net.Topology.pid -> Amcast.Msg.t list
 
 val cast_of : t -> Runtime.Msg_id.t -> cast_event option
 val deliveries_of : t -> Runtime.Msg_id.t -> delivery_event list
+(** The message's delivery events, in global order of occurrence. The
+    first call builds a by-id table that later calls share. *)
 
 val delivered_by : t -> Runtime.Msg_id.t -> Net.Topology.pid -> bool
 (** Whether the process delivered the message, in O(1) after indexing. *)

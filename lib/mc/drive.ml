@@ -63,8 +63,26 @@ let choices t =
     match eligible with [] -> [] | c :: _ -> [ c ]
   else eligible
 
-let step_idx t i =
-  let cs = choices t in
+let commutes a b =
+  let local tag =
+    match Scheduler.Tag.kind tag with
+    | `Deliver | `Timer | `Cast -> true
+    | `Crash | `Generic -> false
+  in
+  local a.tag && local b.tag
+  && Scheduler.Tag.actor a.tag <> Scheduler.Tag.actor b.tag
+
+(* Exact, not a guess (see the interface): past the reorder budget the
+   next set is the eligible head, and a commuting [c] keeps [c0] there. *)
+let lone_after t cs i =
+  match cs with
+  | c0 :: _ when i > 0 && t.reorders + 1 >= t.reorder_bound -> (
+    match List.nth_opt cs i with
+    | Some c when commutes c c0 -> Some c0
+    | _ -> None)
+  | _ -> None
+
+let step_at t cs i =
   match cs with
   | [] -> invalid_arg "Drive.step: deployment is quiescent"
   | _ ->
@@ -81,7 +99,8 @@ let step_idx t i =
     t.steps <- t.steps + 1;
     (i, c)
 
-let step t i = snd (step_idx t i)
+let step t i = snd (step_at t (choices t) i)
+let step_in t cs i = snd (step_at t cs i)
 let steps t = t.steps
 let finished t = Scheduler.pending t.sched = 0
 
@@ -91,7 +110,7 @@ let run ?(max_steps = 200_000) t cs =
   let exec i =
     if !count >= max_steps then failwith "Drive.run: max_steps exceeded";
     incr count;
-    let j, _ = step_idx t i in
+    let j, _ = step_at t (choices t) i in
     executed := j :: !executed
   in
   List.iter (fun i -> if not (finished t) then exec i) cs;

@@ -64,6 +64,34 @@ val step : t -> int -> choice
     on a clamped index the {e clamped} choice is executed.
     @raise Invalid_argument if the deployment is quiescent. *)
 
+val step_in : t -> choice list -> int -> choice
+(** [step_in t cs i] is [step t i] for a caller that already holds [cs] =
+    [choices t], which {!step} would otherwise rebuild. *)
+
+val commutes : choice -> choice -> bool
+(** Independence for sleep sets: both choices are process-local event
+    kinds (delivery, timer, cast) at {e different} processes. Crashes and
+    generic events are conservatively dependent with everything (a crash
+    can cancel other processes' in-flight messages). *)
+
+val lone_after : t -> choice list -> int -> choice option
+(** [lone_after t cs i], with [cs] = [choices t], is [Some c0] when
+    executing choice [i] is certain to leave exactly [[c0]] — the current
+    choice 0 — as the next choice set; it executes nothing. That holds when
+    [i > 0] spends the last unit of the reorder budget and choice [i]
+    {!commutes} with [c0]:
+    - a commuting choice cannot disable [c0] (sleep sets assume the same);
+    - every event it schedules sorts after [c0], because
+      {!Des.Scheduler.at_tagged} clamps times to the clock, which executing
+      it leaves at or past its own nominal time, itself no earlier than
+      [c0]'s, and sequence numbers only grow;
+    - [c0] passes the spurious-timer filter as before: if [c0] is a timer,
+      choice [i] is an anytime event and leaves the timer budget alone.
+
+    Past the budget only the head of the eligible list is offered, and
+    that head is [c0]. [None] when any condition fails or [i] is out of
+    range. *)
+
 val steps : t -> int
 (** Choices executed so far. *)
 

@@ -23,18 +23,6 @@ let digest (r : Harness.Run_result.t) =
     (List.sort Int.compare r.crashed);
   !h
 
-(* Independence for sleep sets: process-local event kinds at different
-   processes commute; crashes and generic events are conservatively
-   dependent with everything. *)
-let commutes (a : Drive.choice) (b : Drive.choice) =
-  let local t =
-    match Scheduler.Tag.kind t with
-    | `Deliver | `Timer | `Cast -> true
-    | `Crash | `Generic -> false
-  in
-  local a.Drive.tag && local b.Drive.tag
-  && Scheduler.Tag.actor a.Drive.tag <> Scheduler.Tag.actor b.Drive.tag
-
 module Make (P : Amcast.Protocol.S) = struct
   module R = Harness.Runner.Make (P)
 
@@ -111,6 +99,7 @@ module Make (P : Amcast.Protocol.S) = struct
     replays : int;
     peak_depth : int;
     sleep_prunes : int;
+    arrival_prunes : int;
     fingerprint_prunes : int;
     exhaustive : bool;
   }
@@ -132,6 +121,7 @@ module Make (P : Amcast.Protocol.S) = struct
     mutable replays : int;
     mutable peak_depth : int;
     mutable sleep_prunes : int;
+    mutable arrival_prunes : int;
     mutable fingerprint_prunes : int;
     mutable truncated : bool;
     mutable violation : violation option;
@@ -139,20 +129,20 @@ module Make (P : Amcast.Protocol.S) = struct
 
   exception Stop
 
-  let exec ctx drv fp trace i =
+  let exec ctx drv fp trace cs i =
     if ctx.events >= ctx.o.max_total_steps then begin
       ctx.truncated <- true;
       raise Stop
     end;
-    let c = Drive.step drv i in
+    let c = Drive.step_in drv cs i in
     ctx.events <- ctx.events + 1;
-    Fingerprint.note_step fp ~tag:c.Drive.tag ~trace;
-    c
+    if ctx.o.fingerprints then Fingerprint.note_step fp ~tag:c.Drive.tag ~trace
 
-  (* Backtracking is replay-based: the DES has no state snapshots, so each
-     non-first sibling re-deploys and fast-forwards through the prefix.
-     Deterministic handle allocation makes the recorded handles valid
-     across replays of the same prefix. *)
+  (* Backtracking re-deploys and fast-forwards through the prefix: the DES
+     has no state snapshots, and restoring a marshalled deployment costs
+     about as much as replaying a typical prefix. Deterministic handle
+     allocation makes the recorded handles valid across replays of the
+     same prefix. *)
   let spawn ctx forward_prefix =
     ctx.replays <- ctx.replays + 1;
     let d, drv = fresh ctx.s in
@@ -160,8 +150,25 @@ module Make (P : Amcast.Protocol.S) = struct
       Fingerprint.create ~n_processes:(Topology.n_processes ctx.s.topology)
     in
     let trace = Engine.trace (R.engine d) in
-    List.iter (fun i -> ignore (exec ctx drv fp trace i)) forward_prefix;
+    List.iter (fun i -> exec ctx drv fp trace (Drive.choices drv) i) forward_prefix;
     (d, drv, fp)
+
+  (* A sibling is sleep-blocked on arrival when the child state it would
+     reach offers only [c0] ({!Drive.lone_after}) and [c0] sleeps there:
+     the child keeps the sleeping choices that commute with the sibling,
+     which [c0] does, so it sleeps iff it is asleep at the node or an
+     explored sibling. The child's visit would count exactly one sleep
+     prune, unless the depth bound or a fingerprint hit claimed it first.
+     [lone_after] reads the driver's reorder count, so it is asked while
+     [drv] still stands at the node. *)
+  let arrival_blocker ctx drv cs depth idx =
+    if
+      ctx.o.por && (not ctx.o.fingerprints)
+      && depth + 1 < ctx.o.max_path_steps
+    then Drive.lone_after drv cs idx
+    else None
+
+  let same (a : Drive.choice) (b : Drive.choice) = a.handle = b.handle
 
   let rec dfs ctx d drv fp depth prefix_rev sleep =
     if depth > ctx.peak_depth then ctx.peak_depth <- depth;
@@ -201,38 +208,52 @@ module Make (P : Amcast.Protocol.S) = struct
         end
       in
       if proceed then begin
-        let slept c =
-          List.exists (fun sc -> sc.Drive.handle = c.Drive.handle) sleep
-        in
+        let slept c = List.exists (same c) sleep in
         let avail =
           List.mapi (fun idx c -> (idx, c)) cs
           |> List.filter (fun (_, c) -> not (slept c))
+          |> List.map (fun (idx, c) ->
+                 (idx, c, arrival_blocker ctx drv cs depth idx))
         in
         if avail = [] then ctx.sleep_prunes <- ctx.sleep_prunes + 1
         else begin
           let explored = ref [] in
-          let first = ref true in
+          (* The node's own deployment goes to its first sibling, which
+             spends it; dropping it here keeps it from staying live while
+             the later siblings' subtrees run. *)
+          let own = ref (Some (d, drv, fp)) in
           List.iter
-            (fun (idx, c) ->
-              let d', drv', fp' =
-                if !first then begin
-                  first := false;
-                  (d, drv, fp)
-                end
-                else spawn ctx (List.rev prefix_rev)
-              in
-              let trace' = Engine.trace (R.engine d') in
-              ignore (exec ctx drv' fp' trace' idx);
-              let sleep' =
-                if ctx.o.por then
-                  List.filter (fun sc -> commutes c sc) (sleep @ !explored)
-                else []
-              in
-              dfs ctx d' drv' fp' (depth + 1) (idx :: prefix_rev) sleep';
+            (fun (idx, c, blocker) ->
+              (match !own with
+              | Some node ->
+                own := None;
+                visit ctx node cs depth prefix_rev sleep !explored (idx, c)
+              | None -> (
+                match blocker with
+                | Some c0 when List.exists (same c0) (sleep @ !explored) ->
+                  ctx.sleep_prunes <- ctx.sleep_prunes + 1;
+                  ctx.arrival_prunes <- ctx.arrival_prunes + 1;
+                  if depth + 1 > ctx.peak_depth then
+                    ctx.peak_depth <- depth + 1
+                | _ ->
+                  visit ctx
+                    (spawn ctx (List.rev prefix_rev))
+                    cs depth prefix_rev sleep !explored (idx, c)));
               explored := c :: !explored)
             avail
         end
       end
+
+  (* Step sibling [idx] on a deployment standing at the node, then search
+     the child. *)
+  and visit ctx (d, drv, fp) cs depth prefix_rev sleep explored (idx, c) =
+    exec ctx drv fp (Engine.trace (R.engine d)) cs idx;
+    let sleep' =
+      if ctx.o.por then
+        List.filter (fun sc -> Drive.commutes c sc) (sleep @ explored)
+      else []
+    in
+    dfs ctx d drv fp (depth + 1) (idx :: prefix_rev) sleep'
 
   let explore ?(opts = default_opts) ?on_terminal s =
     let ctx =
@@ -247,6 +268,7 @@ module Make (P : Amcast.Protocol.S) = struct
         replays = 0;
         peak_depth = 0;
         sleep_prunes = 0;
+        arrival_prunes = 0;
         fingerprint_prunes = 0;
         truncated = false;
         violation = None;
@@ -272,6 +294,7 @@ module Make (P : Amcast.Protocol.S) = struct
           replays = ctx.replays;
           peak_depth = ctx.peak_depth;
           sleep_prunes = ctx.sleep_prunes;
+          arrival_prunes = ctx.arrival_prunes;
           fingerprint_prunes = ctx.fingerprint_prunes;
           exhaustive;
         };

@@ -27,6 +27,20 @@
       principle collide), so it is off by default and meant for
       state-space measurement and smoke-level sweeps, not proofs.
 
+    Backtracking re-deploys and replays the prefix; the DES has no state
+    snapshots, and restoring a marshalled deployment costs about as much
+    as replaying a typical prefix. The explorer skips the replay for a
+    sibling that is {e sleep-blocked on arrival}: stepping it spends the
+    last unit of the reorder budget, so the child offers only choice 0
+    ({!Drive.lone_after}), and choice 0 is in the sleep set the child
+    carries. That visit could only count a sleep prune, so the explorer
+    counts it without deploying. Two invariants make this exact, not a
+    heuristic: a sibling that commutes with choice 0 cannot disable it,
+    and every event it schedules sorts after choice 0 (times clamp to the
+    clock, sequence numbers grow). Interleavings, sleep prunes, peak depth
+    and outcomes are those of the full replay; only [replays] and
+    [events] fall.
+
     Counterexamples are reported as choice-index sequences that replay
     bit-identically through {!Make.replay} ({!Harness.Runner} underneath),
     and can be {!Make.minimize}d to their non-default core. *)
@@ -99,9 +113,15 @@ module Make (P : Amcast.Protocol.S) : sig
   type stats = {
     interleavings : int;  (** Terminal states reached. *)
     events : int;  (** Scheduler events executed, including replays. *)
-    replays : int;  (** Deployments created (DFS backtracks by replay). *)
+    replays : int;
+        (** Deployments created (DFS backtracks by replay). Under POR
+            without fingerprints and within the depth bound, [replays =
+            interleavings + sleep_prunes - arrival_prunes]. *)
     peak_depth : int;
     sleep_prunes : int;
+    arrival_prunes : int;
+        (** The share of [sleep_prunes] decided before executing the
+            sibling (sleep-blocked on arrival, see the module doc). *)
     fingerprint_prunes : int;
     exhaustive : bool;
         (** No budget was hit (and no violation cut the search short):

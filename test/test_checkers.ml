@@ -361,6 +361,30 @@ let prop_differential_skeen s =
     (run_scenario (module Amcast.Skeen) ~broadcast:false
        { s with crashes = false })
 
+(* [deliveries_of] answers from a by-id table built on first use; it must
+   return exactly the events the plain filter over [deliveries] does, in
+   the same order, for every cast id and for an id nobody cast. *)
+let prop_deliveries_of s =
+  let r = run_scenario (module Amcast.A2) ~broadcast:true s in
+  let filter id =
+    List.filter
+      (fun (d : Harness.Run_result.delivery_event) ->
+        Msg_id.equal d.msg.Amcast.Msg.id id)
+      r.deliveries
+  in
+  let ids =
+    Msg_id.make ~origin:0 ~seq:max_int
+    :: List.map
+         (fun (c : Harness.Run_result.cast_event) -> c.msg.Amcast.Msg.id)
+         r.casts
+  in
+  List.for_all
+    (fun id ->
+      List.equal ( == ) (Harness.Run_result.deliveries_of r id) (filter id)
+      || QCheck2.Test.fail_reportf "deliveries_of mismatch in %s"
+           (pp_scenario s))
+    ids
+
 let suites =
   [
     ( "checkers",
@@ -379,5 +403,7 @@ let suites =
           scenario_gen prop_differential_a2;
         Util.qcheck_case ~count:15 ~name:"skeen: fast checkers = reference"
           scenario_gen prop_differential_skeen;
+        Util.qcheck_case ~count:20 ~name:"deliveries_of = filter over deliveries"
+          scenario_gen prop_deliveries_of;
       ] );
   ]

@@ -221,6 +221,116 @@ let test_scheduler_past_clamped () =
   Alcotest.(check int) "clock does not go backwards" 5_000
     (Sim_time.to_us (Scheduler.now s))
 
+(* Model test for the queue, [take] included: a random interleaving of
+   every operation, checked step by step against a sorted association list
+   of the live entries. Times come from a small range so ties (broken by
+   insertion order) are common, and [Cancel]/[Take] pick among every
+   handle issued so far, dead ones included. *)
+type queue_op =
+  | Add of int
+  | Cancel of int
+  | Pop
+  | Take of int
+  | Live
+  | Peek
+  | Size
+
+let queue_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun t -> Add t) (int_bound 8));
+        (1, map (fun k -> Cancel k) (int_bound 40));
+        (2, pure Pop);
+        (3, map (fun k -> Take k) (int_bound 40));
+        (1, pure Live);
+        (1, pure Peek);
+        (1, pure Size);
+      ])
+
+let queue_model =
+  Util.qcheck_case ~count:300 ~name:"queue ops agree with a sorted-list model"
+    QCheck2.Gen.(list_size (int_bound 120) queue_op_gen)
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* Live entries as (handle, time); handles double as insertion order,
+         so sorting on (time, handle) is the queue's order. *)
+      let model = ref [] in
+      let issued = ref 0 in
+      let sorted () =
+        List.sort (fun (h, t) (h', t') -> compare (t, h) (t', h')) !model
+      in
+      let remove h = model := List.filter (fun (h', _) -> h' <> h) !model in
+      let us = Sim_time.of_us in
+      let step = function
+        | Add t ->
+          let h = Event_queue.add q ~time:(us t) !issued in
+          model := (h, t) :: !model;
+          incr issued;
+          h = !issued - 1
+        | Cancel k ->
+          let h = if !issued = 0 then 0 else k mod !issued in
+          Event_queue.cancel q h;
+          remove h;
+          true
+        | Pop -> (
+          match (Event_queue.pop q, sorted ()) with
+          | None, [] -> true
+          | Some (time, h), (h', t) :: _ ->
+            remove h';
+            h = h' && time = us t
+          | _ -> false)
+        | Take k -> (
+          let h = if !issued = 0 then 0 else k mod !issued in
+          match (Event_queue.take q h, List.assoc_opt h !model) with
+          | None, None -> true
+          | Some (time, h'), Some t ->
+            remove h;
+            h' = h && time = us t
+          | _ -> false)
+        | Live ->
+          Event_queue.live q
+          = List.map (fun (h, t) -> (h, us t, 0)) (sorted ())
+        | Peek ->
+          Event_queue.peek_time q
+          = (match sorted () with [] -> None | (_, t) :: _ -> Some (us t))
+        | Size ->
+          Event_queue.size q = List.length !model
+          && Event_queue.is_empty q = (!model = [])
+      in
+      List.for_all step ops
+      && Event_queue.size q = List.length !model)
+
+(* [take] overwrites the slot it vacates: a taken entry that no other
+   slot copies (here: every entry but the root, whose copies fill the
+   array's spare capacity) is collectable as soon as the caller drops it,
+   and emptying the queue drops the array. *)
+let test_queue_take_releases () =
+  let q = Event_queue.create () in
+  let weak = Weak.create 4 in
+  let fill () =
+    List.init 4 (fun i ->
+        let payload = Sys.opaque_identity (ref i) in
+        Weak.set weak i (Some payload);
+        Event_queue.add q ~time:(Sim_time.of_us (10 * i)) payload)
+  in
+  let handles = Array.of_list (fill ()) in
+  let take i = ignore (Sys.opaque_identity (Event_queue.take q handles.(i))) in
+  let freed what i =
+    Gc.full_major ();
+    Alcotest.(check bool) what false (Weak.check weak i)
+  in
+  take 1;
+  freed "mid-heap entry freed" 1;
+  take 3;
+  freed "entry moved by the first take freed" 3;
+  take 2;
+  freed "last-slot entry freed" 2;
+  Alcotest.(check bool) "queued root kept" true (Weak.check weak 0);
+  take 0;
+  freed "root freed once the queue empties" 0;
+  Alcotest.(check int) "empty" 0 (Event_queue.size q)
+
 let suites =
   [
     ( "des",
@@ -242,6 +352,9 @@ let suites =
         Alcotest.test_case "queue stress" `Quick test_queue_many;
         Alcotest.test_case "queue heavy cancellation" `Quick
           test_queue_heavy_cancellation;
+        queue_model;
+        Alcotest.test_case "queue take releases the payload" `Quick
+          test_queue_take_releases;
         Alcotest.test_case "scheduler executed counter" `Quick
           test_scheduler_executed_counter;
         Alcotest.test_case "scheduler order" `Quick

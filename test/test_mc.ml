@@ -165,6 +165,159 @@ let test_flexcast_hub_exhaustive () =
   Alcotest.(check int) "uniform outcome" 1 (List.length o.EFx.outcome_digests);
   Alcotest.(check bool) "genuine on every schedule" true (o.EFx.violation = None)
 
+(* ---------- the search, pinned ---------- *)
+
+(* Interleavings, sleep prunes, peak depth and the distinct terminal
+   outcomes of six explorations under delay bound 2, recorded with an
+   explorer that deployed and replayed every sibling. Skipping the replay
+   of siblings that are sleep-blocked on arrival must leave all four
+   unchanged; it only saves deployments, one per such prune. *)
+let pinned (module P : Amcast.Protocol.S) ?(spurious_timers = 0) ~sizes
+    ~origins (interleavings, sleep_prunes, peak_depth, digests) () =
+  let module E = Explorer.Make (P) in
+  let s =
+    E.make_setup ~reorder_bound:2 ~spurious_timers ~topology:(topo sizes)
+      (List.mapi
+         (fun i o -> cast (1_000 * (i + 1)) o [ 0; 1 ] (Printf.sprintf "m%d" i))
+         origins)
+  in
+  let o = E.explore s in
+  let st = o.E.stats in
+  Alcotest.(check bool) "exhaustive" true st.E.exhaustive;
+  Alcotest.(check bool) "clean" true (o.E.violation = None);
+  Alcotest.(check int) "interleavings" interleavings st.E.interleavings;
+  Alcotest.(check int) "sleep prunes" sleep_prunes st.E.sleep_prunes;
+  Alcotest.(check int) "peak depth" peak_depth st.E.peak_depth;
+  Alcotest.(check (list int)) "outcome digests" digests o.E.outcome_digests;
+  Alcotest.(check bool) "some prunes decided on arrival" true
+    (st.E.arrival_prunes > 0);
+  Alcotest.(check int) "one deployment per unpruned leaf"
+    (st.E.interleavings + st.E.sleep_prunes - st.E.arrival_prunes)
+    st.E.replays
+
+let pinned_cases =
+  [
+    ( "a1 2x2",
+      pinned (module Amcast.A1) ~sizes:[ 2; 2 ] ~origins:[ 0; 0 ]
+        (210, 5_993, 66, [ 53492845258965513 ]) );
+    ( "a1 2x2, one spurious timer",
+      pinned (module Amcast.A1) ~spurious_timers:1 ~sizes:[ 2; 2 ]
+        ~origins:[ 0; 0 ]
+        (210, 7_184, 66, [ 53492845258965513 ]) );
+    ( "a2 2x2",
+      pinned (module Amcast.A2) ~sizes:[ 2; 2 ] ~origins:[ 0; 3 ]
+        (94, 1_078, 49, [ 1039878462752219081 ]) );
+    ( "skeen 1x2",
+      pinned (module Amcast.Skeen) ~sizes:[ 1; 2 ] ~origins:[ 0; 2 ]
+        (34, 604, 18, [ 1456601178707303921; 4587822619133769409 ]) );
+    ( "whitebox 2x2",
+      pinned (module Amcast.Whitebox) ~sizes:[ 2; 2 ] ~origins:[ 0; 3 ]
+        (164, 3_624, 65, [ 1039878462752219081 ]) );
+    ( "flexcast 2x2",
+      pinned (module Amcast.Flexcast) ~sizes:[ 2; 2 ] ~origins:[ 0; 3 ]
+        (35, 3_456, 32, [ 1039878462752219081; 1171631925489295881 ]) );
+  ]
+
+(* ---------- Drive.lone_after ---------- *)
+
+(* Walks [schedule] (clamped, then zero-padded for at most 120 steps or
+   to quiescence) on one deployment. At every state, each choice for which
+   [Drive.lone_after] answers [Some c0] is stepped on a second deployment
+   replayed to the same state, which must then offer exactly [[c0]]. With
+   [crash], p3 crashes at 10 ms, mid-protocol, losing its in-flight
+   messages: the crash is an anytime choice that cancels pending events. Returns how often the predicate fired, or the
+   first state where it was wrong. *)
+let lone_after_holds (module P : Amcast.Protocol.S) ?(crash = false) ~bound
+    schedule =
+  let module R = Harness.Runner.Make (P) in
+  let deploy () =
+    let faults =
+      if crash then
+        [
+          Harness.Runner.crash ~drop:Runtime.Engine.Lose_all_inflight
+            ~at:(Util.us 10_000) 3;
+        ]
+      else []
+    in
+    let d =
+      R.deploy ~latency:Explorer.crisp_latency ~faults (topo [ 2; 2 ])
+    in
+    Net.Network.set_explode_fanout (Runtime.Engine.network (R.engine d)) true;
+    ignore
+      (R.schedule d [ cast 1_000 0 [ 0; 1 ] "m0"; cast 2_000 3 [ 0; 1 ] "m1" ]);
+    Drive.create ~reorder_bound:bound (Runtime.Engine.scheduler (R.engine d))
+  in
+  let drv = deploy () in
+  let prefix = ref [] in
+  let fired = ref 0 in
+  let rec walk schedule =
+    match Drive.choices drv with
+    | [] -> Ok !fired
+    | _ when Drive.steps drv >= 120 -> Ok !fired
+    | cs ->
+      let wrong =
+        List.find_opt
+          (fun i ->
+            match Drive.lone_after drv cs i with
+            | None -> false
+            | Some c0 ->
+              incr fired;
+              let other = deploy () in
+              List.iter (fun j -> ignore (Drive.step other j)) (List.rev !prefix);
+              ignore (Drive.step_in other (Drive.choices other) i);
+              List.map (fun c -> c.Drive.handle) (Drive.choices other)
+              <> [ c0.Drive.handle ])
+          (List.init (List.length cs) Fun.id)
+      in
+      (match wrong with
+      | Some i -> Error (List.rev (i :: !prefix))
+      | None ->
+        let i, rest = match schedule with [] -> (0, []) | i :: r -> (i, r) in
+        let i = min i (List.length cs - 1) in
+        ignore (Drive.step_in drv cs i);
+        prefix := i :: !prefix;
+        walk rest)
+  in
+  walk schedule
+
+let protocols =
+  [|
+    ("a1", (module Amcast.A1 : Amcast.Protocol.S));
+    ("a2", (module Amcast.A2));
+    ("skeen", (module Amcast.Skeen));
+    ("whitebox", (module Amcast.Whitebox));
+    ("flexcast", (module Amcast.Flexcast));
+  |]
+
+let lone_after_exact =
+  Util.qcheck_case ~count:40
+    ~name:"lone_after: the stepped choice leaves exactly [c0]"
+    QCheck2.Gen.(
+      quad
+        (int_bound (Array.length protocols - 1))
+        (int_range 1 3) bool
+        (list_size (int_bound 30) (frequency [ (3, pure 0); (1, int_bound 3) ])))
+    (fun (p, bound, crash, schedule) ->
+      let name, proto = protocols.(p) in
+      match lone_after_holds proto ~crash ~bound schedule with
+      | Ok _ -> true
+      | Error at ->
+        QCheck2.Test.fail_reportf
+          "%s, bound %d, crash %b: wrong after schedule [%s]" name bound crash
+          (String.concat "," (List.map string_of_int at)))
+
+(* The property above is only as good as its firing rate: on the natural
+   schedule under bound 1 the budget is one step from spent everywhere, so
+   every protocol must meet the predicate, and it must hold each time. *)
+let test_lone_after_fires () =
+  Array.iter
+    (fun (name, proto) ->
+      match lone_after_holds proto ~bound:1 [] with
+      | Ok fired ->
+        Alcotest.(check bool) (name ^ " fires") true (fired > 0)
+      | Error _ -> Alcotest.failf "%s: lone_after wrong on the natural run" name)
+    protocols
+
 (* ---------- replay determinism ---------- *)
 
 let a1_2x2 () =
@@ -411,6 +564,16 @@ let suites =
           test_flexcast_2x2_exhaustive;
         Alcotest.test_case "flexcast on a hub: genuine on every schedule"
           `Quick test_flexcast_hub_exhaustive;
+      ] );
+    ( "mc.pinned",
+      List.map
+        (fun (name, f) -> Alcotest.test_case name `Quick f)
+        pinned_cases );
+    ( "mc.drive",
+      [
+        lone_after_exact;
+        Alcotest.test_case "lone_after fires on every protocol" `Quick
+          test_lone_after_fires;
       ] );
     ( "mc.replay",
       [
